@@ -6,7 +6,7 @@
 // the skiplist substrate (readers served from the per-batch snapshot)
 // and the blocked substrate (readers take the seqlock-validated live
 // probe between batches). R=0 isolates the serving overhead itself: the
-// O(n) snapshot publish every batch plus epoch bookkeeping.
+// snapshot publish every batch plus epoch bookkeeping.
 //
 // Counters: "served" is the total number of concurrent queries answered
 // across the whole run; "served/s" the rate against benchmark time.
@@ -91,25 +91,21 @@ BENCHMARK(BM_ConcurrentServe)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-// BM_SnapshotPublish — per-batch snapshot publish cost as a function of n,
-// batch size, and publish mode (ISSUE 7). The base graph is a sea of
-// disjoint 16-vertex path clusters; each iteration deletes and re-inserts
-// one batch of intra-cluster edges, touching only the first batch/15-ish
-// clusters. The incremental publisher relabels O(batch) vertices per
-// commit while the --publish=full escape hatch re-walks all n, so the gap
-// between fullpub:0 and fullpub:1 at fixed (logn, batch) IS the headline
-// win — read the "publish_us/batch" counter, not just wall time (the
-// batch itself costs the same on both sides).
+// BM_SnapshotPublish — per-batch snapshot publish cost as a function of n
+// and batch size. The base graph is a sea of disjoint 16-vertex path
+// clusters; each iteration deletes and re-inserts one batch of
+// intra-cluster edges, touching only the first batch/15-ish clusters. The
+// incremental publisher relabels O(batch) vertices per commit, so the
+// "publish_us/batch" counter should stay flat as logn grows at fixed
+// batch (a full O(n) walk per commit would scale with n instead).
 static void BM_SnapshotPublish(benchmark::State& state) {
   const vertex_id n = vertex_id{1} << state.range(0);
   const size_t batch = static_cast<size_t>(state.range(1));
-  const bool full = state.range(2) != 0;
   constexpr vertex_id kCluster = 16;
 
   options o;
   o.substrate = substrate::blocked;
   o.concurrent_reads = true;
-  o.publish = full ? publish_mode::full : publish_mode::incremental;
   batch_dynamic_connectivity s(n, o);
   {
     std::vector<edge> es;
@@ -148,8 +144,8 @@ static void BM_SnapshotPublish(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_SnapshotPublish)
-    ->ArgsProduct({{16, 20}, {64, 256}, {0, 1}})
-    ->ArgNames({"logn", "batch", "fullpub"})
+    ->ArgsProduct({{16, 20}, {64, 256}})
+    ->ArgNames({"logn", "batch"})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -110,14 +110,14 @@ void set_substrate_label(benchmark::State& state) {
 
 static void BM_SubstrateLinkCut(benchmark::State& state) {
   size_t k = static_cast<size_t>(state.range(1));
-  auto f = make_ett(substrate_of(state), kEttN, 11);
+  ett_forest f(substrate_of(state), kEttN, 11);
   auto forest_edges =
       gen_random_forest(kEttN, kEttN / 2 >= k ? kEttN - k : 1, 12);
   forest_edges.resize(std::min(forest_edges.size(), k));
   std::span<const edge> batch(forest_edges.data(), forest_edges.size());
   for (auto _ : state) {
-    f->batch_link(batch);
-    f->batch_cut(batch);
+    f.batch_link(batch);
+    f.batch_cut(batch);
   }
   set_substrate_label(state);
   state.SetItemsProcessed(static_cast<int64_t>(2 * batch.size()) *
@@ -129,11 +129,11 @@ BENCHMARK(BM_SubstrateLinkCut)
 
 static void BM_SubstrateBatchConnected(benchmark::State& state) {
   size_t k = static_cast<size_t>(state.range(1));
-  auto f = make_ett(substrate_of(state), kEttN, 13);
-  f->batch_link(gen_random_forest(kEttN, 16, 14));
+  ett_forest f(substrate_of(state), kEttN, 13);
+  f.batch_link(gen_random_forest(kEttN, 16, 14));
   auto qs = make_query_batch(kEttN, k, 15);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f->batch_connected(qs));
+    benchmark::DoNotOptimize(f.batch_connected(qs));
   }
   set_substrate_label(state);
   state.SetItemsProcessed(static_cast<int64_t>(k) * state.iterations());
@@ -143,17 +143,17 @@ BENCHMARK(BM_SubstrateBatchConnected)
     ->ArgNames({"substrate", "k"});
 
 static void BM_SubstrateCountsAndFetch(benchmark::State& state) {
-  auto f = make_ett(substrate_of(state), kEttN, 16);
-  f->batch_link(gen_random_tree(kEttN, 17));
+  ett_forest f(substrate_of(state), kEttN, 16);
+  f.batch_link(gen_random_tree(kEttN, 17));
   std::vector<ett_substrate::count_delta> up(256), down(256);
   for (uint32_t i = 0; i < 256; ++i) {
     up[i] = {i * 5, 0, 2};
     down[i] = {i * 5, 0, -2};
   }
   for (auto _ : state) {
-    f->batch_add_counts(up);
-    benchmark::DoNotOptimize(f->fetch_nontree(7, 128));
-    f->batch_add_counts(down);
+    f.batch_add_counts(up);
+    benchmark::DoNotOptimize(f.fetch_nontree(7, 128));
+    f.batch_add_counts(down);
   }
   set_substrate_label(state);
   state.SetItemsProcessed(512 * state.iterations());
@@ -163,111 +163,6 @@ BENCHMARK(BM_SubstrateCountsAndFetch)
     ->Arg(1)
     ->Arg(2)
     ->ArgName("substrate");
-
-// ---------------------------------------------------------------------
-// Dispatch A/B (ROADMAP "static dispatch variant"): the identical hot
-// workload routed through ett_forest under both dispatch modes. Arg(0):
-// dispatch (0 = static variant, 1 = virtual bridge); Arg(1): substrate.
-// BM_DispatchFindRep and BM_DispatchConnected are the per-element
-// regime — the dispatch is hoisted once per loop (visit), so the static
-// rows pay N direct calls where the virtual rows pay N indirect calls.
-// BM_DispatchBatchConnected and BM_DispatchLinkCut are the
-// one-dispatch-per-batch regime, where the delta should be a wash.
-// ---------------------------------------------------------------------
-
-namespace {
-dispatch dispatch_of(const benchmark::State& state) {
-  return state.range(0) == 1 ? dispatch::virtual_bridge
-                             : dispatch::static_variant;
-}
-
-substrate substrate_of_arg1(const benchmark::State& state) {
-  switch (state.range(1)) {
-    case 1:
-      return substrate::treap;
-    case 2:
-      return substrate::blocked;
-    default:
-      return substrate::skiplist;
-  }
-}
-
-void set_dispatch_label(benchmark::State& state) {
-  state.SetLabel(std::string(to_string(dispatch_of(state))) + "/" +
-                 to_string(substrate_of_arg1(state)));
-}
-}  // namespace
-
-static void BM_DispatchFindRep(benchmark::State& state) {
-  ett_forest f(substrate_of_arg1(state), kEttN, 31, dispatch_of(state));
-  f.batch_link(gen_random_forest(kEttN, 64, 32));
-  // Shuffled probe order: real fetch/expand loops walk scattered ids.
-  std::vector<vertex_id> vs(kEttN);
-  bdc::random r(33);
-  for (size_t i = 0; i < vs.size(); ++i)
-    vs[i] = static_cast<vertex_id>(r.ith_rand(i, kEttN));
-  for (auto _ : state) {
-    f.visit([&](auto& fc) {
-      for (vertex_id v : vs) benchmark::DoNotOptimize(fc.find_rep(v));
-    });
-  }
-  set_dispatch_label(state);
-  state.SetItemsProcessed(static_cast<int64_t>(vs.size()) *
-                          state.iterations());
-}
-BENCHMARK(BM_DispatchFindRep)
-    ->ArgsProduct({{0, 1}, {0, 1, 2}})
-    ->ArgNames({"dispatch", "substrate"});
-
-static void BM_DispatchConnected(benchmark::State& state) {
-  ett_forest f(substrate_of_arg1(state), kEttN, 35, dispatch_of(state));
-  f.batch_link(gen_random_forest(kEttN, 64, 36));
-  auto qs = make_query_batch(kEttN, 4096, 37);
-  for (auto _ : state) {
-    f.visit([&](auto& fc) {
-      for (auto& [u, v] : qs) benchmark::DoNotOptimize(fc.connected(u, v));
-    });
-  }
-  set_dispatch_label(state);
-  state.SetItemsProcessed(static_cast<int64_t>(qs.size()) *
-                          state.iterations());
-}
-BENCHMARK(BM_DispatchConnected)
-    ->ArgsProduct({{0, 1}, {0, 1, 2}})
-    ->ArgNames({"dispatch", "substrate"});
-
-static void BM_DispatchBatchConnected(benchmark::State& state) {
-  ett_forest f(substrate_of_arg1(state), kEttN, 13, dispatch_of(state));
-  f.batch_link(gen_random_forest(kEttN, 16, 14));
-  auto qs = make_query_batch(kEttN, 4096, 15);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.batch_connected(qs));
-  }
-  set_dispatch_label(state);
-  state.SetItemsProcessed(static_cast<int64_t>(qs.size()) *
-                          state.iterations());
-}
-BENCHMARK(BM_DispatchBatchConnected)
-    ->ArgsProduct({{0, 1}, {0, 1, 2}})
-    ->ArgNames({"dispatch", "substrate"});
-
-static void BM_DispatchLinkCut(benchmark::State& state) {
-  const size_t k = 256;
-  ett_forest f(substrate_of_arg1(state), kEttN, 11, dispatch_of(state));
-  auto forest_edges = gen_random_forest(kEttN, kEttN - k, 12);
-  forest_edges.resize(std::min(forest_edges.size(), k));
-  std::span<const edge> batch(forest_edges.data(), forest_edges.size());
-  for (auto _ : state) {
-    f.batch_link(batch);
-    f.batch_cut(batch);
-  }
-  set_dispatch_label(state);
-  state.SetItemsProcessed(static_cast<int64_t>(2 * batch.size()) *
-                          state.iterations());
-}
-BENCHMARK(BM_DispatchLinkCut)
-    ->ArgsProduct({{0, 1}, {0, 1, 2}})
-    ->ArgNames({"dispatch", "substrate"});
 
 // ---------------------------------------------------------------------
 // The small-component regime (De Man et al. 2024): a forest of many
@@ -280,7 +175,7 @@ BENCHMARK(BM_DispatchLinkCut)
 
 static void BM_SubstrateSmallComponents(benchmark::State& state) {
   size_t comp = static_cast<size_t>(state.range(1));
-  auto f = make_ett(substrate_of(state), kEttN, 19);
+  ett_forest f(substrate_of(state), kEttN, 19);
   // Paths of `comp` vertices; cut/relink each component's middle edge.
   std::vector<edge> middles;
   for (vertex_id base = 0; base + comp <= kEttN;
@@ -288,7 +183,7 @@ static void BM_SubstrateSmallComponents(benchmark::State& state) {
     std::vector<edge> path;
     for (vertex_id i = 0; i + 1 < comp; ++i)
       path.push_back({base + i, base + i + 1});
-    f->batch_link(path);
+    f.batch_link(path);
     middles.push_back(path[path.size() / 2]);
   }
   // Cross-component queries (always disconnected: worst-case walks).
@@ -298,9 +193,9 @@ static void BM_SubstrateSmallComponents(benchmark::State& state) {
     qs[i] = {static_cast<vertex_id>(qr.ith_rand(2 * i, kEttN)),
              static_cast<vertex_id>(qr.ith_rand(2 * i + 1, kEttN))};
   for (auto _ : state) {
-    f->batch_cut(middles);
-    f->batch_link(middles);
-    benchmark::DoNotOptimize(f->batch_connected(qs));
+    f.batch_cut(middles);
+    f.batch_link(middles);
+    benchmark::DoNotOptimize(f.batch_connected(qs));
   }
   set_substrate_label(state);
   state.SetItemsProcessed(static_cast<int64_t>(3 * middles.size()) *
@@ -381,14 +276,14 @@ static void BM_TreapMutationWorkers(benchmark::State& state) {
   {
     // Scope the forest so its worker-sliced node pool dies before the
     // pool size is restored.
-    auto f = make_ett(substrate::treap, kEttN, 21);
+    ett_forest f(substrate::treap, kEttN, 21);
     auto forest_edges =
         gen_random_forest(kEttN, kEttN / 2 >= k ? kEttN - k : 1, 22);
     forest_edges.resize(std::min(forest_edges.size(), k));
     std::span<const edge> batch(forest_edges.data(), forest_edges.size());
     for (auto _ : state) {
-      f->batch_link(batch);
-      f->batch_cut(batch);
+      f.batch_link(batch);
+      f.batch_cut(batch);
     }
     state.SetItemsProcessed(static_cast<int64_t>(2 * batch.size()) *
                             state.iterations());

@@ -53,7 +53,7 @@ void dedupe(std::vector<edge>& es) { sort_unique(es); }
 batch_dynamic_connectivity::batch_dynamic_connectivity(vertex_id n,
                                                        options opts)
     : opts_(opts),
-      ls_(n, opts.seed, opts.substrate, opts.policy, opts.dispatch),
+      ls_(n, opts.seed, opts.substrate, opts.policy),
       top_forest_(&ls_.forest(ls_.top())) {
   if (opts_.concurrent_reads) {
     service_ = std::make_unique<service_state>();
@@ -68,10 +68,6 @@ batch_dynamic_connectivity::batch_dynamic_connectivity(vertex_id n,
   }
 }
 
-const char* to_string(publish_mode m) {
-  return m == publish_mode::full ? "full" : "incremental";
-}
-
 std::string config_label(const options& opts) {
   std::string label = to_string(opts.substrate);
   if (opts.policy.mixed() && opts.policy.low != opts.substrate) {
@@ -79,11 +75,7 @@ std::string config_label(const options& opts) {
     label += to_string(opts.policy.low);
     label += "<" + std::to_string(opts.policy.threshold);
   }
-  if (opts.dispatch == dispatch::virtual_bridge) label += "!virtual";
-  if (opts.concurrent_reads) {
-    label += "+serve";
-    if (opts.publish == publish_mode::full) label += "!fullpub";
-  }
+  if (opts.concurrent_reads) label += "+serve";
   return label;
 }
 
@@ -165,10 +157,8 @@ void batch_dynamic_connectivity::publish_snapshot(bool force_full) {
   const snapshot* prev =
       service_->published.load(std::memory_order_relaxed);
   snapshot* snap = nullptr;
-  if (!force_full && prev != nullptr &&
-      opts_.publish == publish_mode::incremental) {
+  if (!force_full && prev != nullptr)
     snap = build_incremental_snapshot(version, *prev);
-  }
   if (snap == nullptr) {
     snap = build_full_snapshot(version);
     stats_.publishes_full++;
@@ -331,12 +321,13 @@ bool batch_dynamic_connectivity::snapshot_view::connected(
   }
   const service_state& s = *owner_->service_;
   // Live fast path: when no batch is in flight and the top forest
-  // supports relaxed reads (blocked substrate), probe it directly and
-  // seqlock-validate. A probe overlapped by a batch is discarded — the
-  // release stores inside the batch pair with the probe's acquire loads,
-  // forcing the revalidation to observe the odd (or later) phase.
+  // answers relaxed reads (blocked substrate; the others return
+  // nullopt), probe it directly and seqlock-validate. A probe overlapped
+  // by a batch is discarded — the release stores inside the batch pair
+  // with the probe's acquire loads, forcing the revalidation to observe
+  // the odd (or later) phase.
   uint64_t v1 = s.phase.load(std::memory_order_acquire);
-  if ((v1 & 1) == 0 && owner_->top_forest_->supports_relaxed_reads()) {
+  if ((v1 & 1) == 0) {
     std::optional<bool> live = owner_->top_forest_->connected_relaxed(u, v);
     if (live.has_value() &&
         s.phase.load(std::memory_order_acquire) == v1) {

@@ -43,21 +43,6 @@ enum class level_search_kind {
   scan_all,
 };
 
-/// How the read service rebuilds the published snapshot on batch commit
-/// (only meaningful with options::concurrent_reads).
-enum class publish_mode : uint8_t {
-  /// Relabel only the components the batch touched: O(touched vertices)
-  /// enumeration through the substrate tours plus a chunk-pointer copy,
-  /// with an automatic fallback to the full walk when the touched-size
-  /// estimate exceeds n/4 (shatter-everything batches). Default.
-  incremental,
-  /// Always rebuild from a full O(n) components() walk (escape hatch /
-  /// A-B baseline; `stream_runner --publish=full`).
-  full,
-};
-
-[[nodiscard]] const char* to_string(publish_mode m);
-
 struct options {
   level_search_kind search = level_search_kind::interleaved;
   /// The primary Euler-tour substrate (every level, unless `policy`
@@ -69,29 +54,22 @@ struct options {
   /// (threshold 0) is uniform; a policy whose low substrate equals
   /// `substrate` is normalized to uniform at construction.
   level_policy policy;
-  /// How forests route substrate calls: the devirtualized std::variant
-  /// fast path (default) or the ett_substrate virtual bridge (escape
-  /// hatch / A-B baseline). See src/ett/ett_forest.hpp.
-  bdc::dispatch dispatch = bdc::dispatch::static_variant;
   /// Enables the epoch-snapshot read service: snapshot_query() becomes
   /// available and may run from any thread CONCURRENTLY with
   /// batch_insert/batch_delete. Each update batch publishes an immutable
-  /// connectivity snapshot (cost governed by `publish`), plus epoch
-  /// bookkeeping on the top forest's node frees. The phased API
+  /// connectivity snapshot (relabelling only the components it touched,
+  /// or all n vertices when those exceed n/4), plus epoch bookkeeping on
+  /// the top forest's node frees. The phased API
   /// (connected / batch_connected / ...) keeps its exclusive-phase
   /// contract either way.
   bool concurrent_reads = false;
-  /// Snapshot publish strategy; see publish_mode.
-  publish_mode publish = publish_mode::incremental;
   uint64_t seed = 0xbdc5eed;
 };
 
 /// Canonical human-readable label of an options configuration for A/B
 /// reports (stream_runner, benchmarks): "<substrate>", plus
 /// "+<low><<threshold>" when a (normalized) mixed policy is active, plus
-/// "!virtual" when the virtual-bridge dispatch escape hatch is forced,
-/// plus "+serve" when the epoch-snapshot read service is enabled (with
-/// "!fullpub" appended when the incremental publisher is disabled).
+/// "+serve" when the epoch-snapshot read service is enabled.
 /// Applies the same policy normalization as construction, so a nominally
 /// mixed configuration that is actually uniform is labelled uniform.
 [[nodiscard]] std::string config_label(const options& opts);
@@ -112,7 +90,7 @@ struct statistics {
   uint64_t replacements_promoted = 0;  // non-tree edges become tree edges
   // Read-service publish accounting (options::concurrent_reads only).
   uint64_t snapshots_published = 0;  // committed snapshots (incl. version 0)
-  uint64_t publishes_full = 0;       // full-walk rebuilds (mode or fallback)
+  uint64_t publishes_full = 0;       // full-walk rebuilds (first or fallback)
   uint64_t publish_relabeled = 0;    // vertices rewritten incrementally
   uint64_t publish_micros = 0;       // cumulative publish_snapshot() time
 };
@@ -281,9 +259,9 @@ class batch_dynamic_connectivity {
 
   /// Publishes the post-batch snapshot. The incremental path relabels
   /// only the components seeded by touched_ (endpoints of this batch's
-  /// top-forest mutations); `force_full` (construction) and the
-  /// publish_mode::full escape hatch rebuild from a full walk, as does
-  /// the automatic fallback when the touched-size estimate exceeds n/4.
+  /// top-forest mutations); `force_full` (construction) rebuilds from a
+  /// full walk, as does the automatic fallback when the touched-size
+  /// estimate exceeds n/4.
   void publish_snapshot(bool force_full);
   /// Full O(n) rebuild (components() walk + per-label counting).
   [[nodiscard]] snapshot* build_full_snapshot(uint64_t version) const;

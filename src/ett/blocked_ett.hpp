@@ -60,7 +60,7 @@
 
 namespace bdc {
 
-class blocked_ett final : public ett_substrate {
+class blocked_ett final : public ett_substrate_base<blocked_ett> {
  public:
   /// Entries per block: sized so one block (header + payload) is 512
   /// bytes — eight cache lines the hardware prefetcher streams through.
@@ -70,64 +70,64 @@ class blocked_ett final : public ett_substrate {
   static constexpr uint32_t kMinFill = kBlockCap / 4;
 
   explicit blocked_ett(vertex_id n, uint64_t seed = 0xb10c);
-  ~blocked_ett() override;
+  ~blocked_ett();
 
   blocked_ett(const blocked_ett&) = delete;
   blocked_ett& operator=(const blocked_ett&) = delete;
 
-  [[nodiscard]] size_t num_vertices() const override { return n_; }
-  [[nodiscard]] size_t num_edges() const override { return arcs_.size(); }
+  [[nodiscard]] size_t num_vertices() const { return n_; }
+  [[nodiscard]] size_t num_edges() const { return arcs_.size(); }
 
-  void batch_link(std::span<const edge> links) override;
-  void batch_cut(std::span<const edge> cuts) override;
-  void batch_add_counts(std::span<const count_delta> deltas) override;
+  void batch_link(std::span<const edge> links);
+  void batch_cut(std::span<const edge> cuts);
+  void batch_add_counts(std::span<const count_delta> deltas);
 
-  [[nodiscard]] bool has_edge(edge e) const override {
+  [[nodiscard]] bool has_edge(edge e) const {
     return arcs_.contains(edge_key(e.canonical()));
   }
-  [[nodiscard]] bool connected(vertex_id u, vertex_id v) const override;
+  [[nodiscard]] bool connected(vertex_id u, vertex_id v) const;
   [[nodiscard]] std::vector<bool> batch_connected(
       std::span<const std::pair<vertex_id, vertex_id>> queries)
-      const override;
+      const;
 
-  [[nodiscard]] rep find_rep(vertex_id v) const override;
+  [[nodiscard]] rep find_rep(vertex_id v) const;
   [[nodiscard]] std::vector<rep> batch_find_rep(
-      std::span<const vertex_id> vs) const override;
+      std::span<const vertex_id> vs) const;
 
-  [[nodiscard]] ett_counts component_counts(vertex_id v) const override;
-  [[nodiscard]] ett_counts vertex_counts(vertex_id v) const override;
+  [[nodiscard]] ett_counts component_counts(vertex_id v) const;
+  [[nodiscard]] ett_counts vertex_counts(vertex_id v) const;
 
   [[nodiscard]] std::vector<std::pair<vertex_id, uint32_t>> fetch_nontree(
-      vertex_id v, uint64_t want) const override;
+      vertex_id v, uint64_t want) const;
   [[nodiscard]] std::vector<std::pair<vertex_id, uint32_t>> fetch_tree(
-      vertex_id v, uint64_t want) const override;
+      vertex_id v, uint64_t want) const;
 
   [[nodiscard]] std::vector<vertex_id> component_vertices(
-      vertex_id v) const override;
+      vertex_id v) const;
 
-  using ett_substrate::for_each_tour_vertex;
+  using ett_substrate_base::for_each_tour_vertex;
   void for_each_tour_vertex(rep r, void (*fn)(void* ctx, vertex_id v),
-                            void* ctx) const override;
+                            void* ctx) const;
 
   /// Structural validation (tests): block chain coherence, occupancy
   /// bounds, aggregate sums, tour orientation (closed Euler walk), and
   /// registration of every sentinel and arc. Empty string if healthy.
-  [[nodiscard]] std::string check_consistency() const override;
+  [[nodiscard]] std::string check_consistency() const;
 
-  [[nodiscard]] node_pool::stats_snapshot pool_stats() const override {
+  [[nodiscard]] node_pool::stats_snapshot pool_stats() const {
     return pool_.stats();
   }
-  size_t trim_pool(size_t keep_bytes = 0) override {
+  size_t trim_pool(size_t keep_bytes = 0) {
     return pool_.trim(keep_bytes);
   }
-  [[nodiscard]] uint64_t active_vertices() const override {
+  [[nodiscard]] uint64_t active_vertices() const {
     return dir_.active_count();
   }
-  [[nodiscard]] size_t directory_bytes() const override {
+  [[nodiscard]] size_t directory_bytes() const {
     return dir_.resident_bytes();
   }
 
-  // Epoch-snapshot read contract (see ett_substrate): the reader-visible
+  // Epoch-snapshot read contract (relaxed_read_substrate): the reader-visible
   // pointer chain — directory chunk (vertex -> slot), slot vloc (vertex
   // -> block) and block::owner (block -> tour descriptor) — is all
   // atomics; every writer-side update is a release store and every
@@ -139,13 +139,10 @@ class blocked_ett final : public ett_substrate {
   // being recycled, which is what makes the probe's dereference of a
   // just-unlinked block or just-swept chunk safe and rules out
   // descriptor-address ABA within a pinned epoch.
-  [[nodiscard]] bool supports_relaxed_reads() const override { return true; }
   [[nodiscard]] std::optional<bool> connected_relaxed(
-      vertex_id u, vertex_id v) const override;
-  void bind_read_epochs(epoch_manager* em) override {
-    pool_.bind_epochs(em);
-  }
-  size_t drain_limbo() override { return pool_.drain_limbo(); }
+      vertex_id u, vertex_id v) const;
+  void bind_read_epochs(epoch_manager* em) { pool_.bind_epochs(em); }
+  size_t drain_limbo() { return pool_.drain_limbo(); }
 
   /// Packing diagnostics for the occupancy tests.
   struct block_stats {
@@ -258,5 +255,8 @@ class blocked_ett final : public ett_substrate {
   // activation/deactivation never moves a representative.
   vertex_directory<vslot> dir_;
 };
+
+static_assert(euler_tour_substrate<blocked_ett>);
+static_assert(relaxed_read_substrate<blocked_ett>);
 
 }  // namespace bdc

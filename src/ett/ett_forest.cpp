@@ -2,40 +2,20 @@
 
 namespace bdc {
 
-const char* to_string(dispatch d) {
-  switch (d) {
-    case dispatch::static_variant:
-      return "static";
-    case dispatch::virtual_bridge:
-      return "virtual";
-  }
-  return "unknown";
-}
+ett_forest::ett_forest(bdc::substrate s, vertex_id n, uint64_t seed)
+    : impl_(make(s, n, seed)), kind_(s) {}
 
-std::optional<dispatch> dispatch_from_string(std::string_view name) {
-  if (name == "static") return dispatch::static_variant;
-  if (name == "virtual") return dispatch::virtual_bridge;
-  return std::nullopt;
-}
-
-ett_forest::ett_forest(bdc::substrate s, vertex_id n, uint64_t seed,
-                       bdc::dispatch d)
-    : owner_(make_ett(s, n, seed)), view_(owner_.get()), kind_(s),
-      dispatch_(d) {
-  if (d == dispatch::virtual_bridge) return;  // stay on the base view
-  // make_ett's mapping from enum to concrete type is the single source of
-  // truth; the downcasts mirror it exactly (all three classes are final).
+ett_forest::impl ett_forest::make(bdc::substrate s, vertex_id n,
+                                  uint64_t seed) {
   switch (s) {
-    case substrate::skiplist:
-      view_ = static_cast<euler_tour_forest*>(owner_.get());
-      break;
     case substrate::treap:
-      view_ = static_cast<treap_ett*>(owner_.get());
-      break;
+      return std::make_unique<treap_ett>(n, seed);
     case substrate::blocked:
-      view_ = static_cast<blocked_ett*>(owner_.get());
+      return std::make_unique<blocked_ett>(n, seed);
+    case substrate::skiplist:
       break;
   }
+  return std::make_unique<euler_tour_forest>(n, seed);
 }
 
 }  // namespace bdc

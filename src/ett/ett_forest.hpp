@@ -1,15 +1,17 @@
-// Devirtualized substrate dispatch (ROADMAP "static dispatch variant").
+// The forest value type the level structure holds: one owning variant
+// over the three concrete substrates, with static dispatch.
 //
-// `ett_substrate` is a virtual bridge, which costs an indirect call per
-// forest operation — measurable exactly on the hot query paths the paper
-// makes cheap (the blocked substrate answers `connected`/`find_rep` with
-// O(1) pointer reads, so an indirect call is a large relative overhead).
-// `ett_forest` is the value type the level structure actually holds: it
-// owns the substrate through the base-class pointer but additionally pins
-// a `std::variant` view of the CONCRETE type at materialization time.
+// `ett_forest` owns exactly one substrate (`euler_tour_forest`,
+// `treap_ett` or `blocked_ett`), chosen at runtime by `bdc::substrate`.
 // Every forwarder dispatches with `std::visit`, and because all three
-// substrates are `final`, the calls inside each visit arm are direct
-// (devirtualized, inlinable) member calls.
+// substrates are `final` and satisfy the `euler_tour_substrate` concept
+// (src/ett/ett_substrate.hpp), the calls inside each visit arm are
+// direct, inlinable member calls — the blocked substrate answers
+// `connected`/`find_rep` with O(1) pointer reads, where an indirect call
+// per operation would be a large relative overhead. The substrate lives
+// behind a `unique_ptr`, so its address (which the epoch-bound node pool
+// of the serving top forest hands to readers) survives moves of the
+// forest itself.
 //
 // Callers with per-element loops should hoist the dispatch once around
 // the whole loop instead of paying it per element:
@@ -19,13 +21,6 @@
 //       out[i] = f.connected(qs[i].first, qs[i].second);  // ...N direct calls
 //     });
 //   });
-//
-// The virtual bridge stays available two ways: `bridge()` exposes the
-// `ett_substrate&` for cold paths and generic tooling, and constructing
-// with `dispatch::virtual_bridge` pins the variant to the base-class
-// alternative — every forwarder then degenerates to the old virtual call,
-// which is what the A/B benchmarks (`BM_Dispatch*` in bench_substrates)
-// and the dispatch-parameterized test suites run against.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +28,7 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -49,57 +44,32 @@
 
 namespace bdc {
 
-/// How an `ett_forest` routes its calls: through the concrete-type
-/// variant (default; devirtualized) or through the `ett_substrate`
-/// virtual bridge (escape hatch; also the A/B baseline).
-enum class dispatch : uint8_t {
-  static_variant,
-  virtual_bridge,
-};
-
-[[nodiscard]] const char* to_string(dispatch d);
-[[nodiscard]] std::optional<dispatch> dispatch_from_string(
-    std::string_view name);
-
 class ett_forest {
  public:
   using rep = ett_substrate::rep;
   using count_delta = ett_substrate::count_delta;
 
-  /// Materializes an empty n-vertex forest over substrate `s`, pinning
-  /// the dispatch mode for the forest's lifetime.
-  ett_forest(bdc::substrate s, vertex_id n, uint64_t seed,
-             bdc::dispatch d = dispatch::static_variant);
-
-  ett_forest(ett_forest&&) noexcept = default;
-  ett_forest& operator=(ett_forest&&) noexcept = default;
-  ett_forest(const ett_forest&) = delete;
-  ett_forest& operator=(const ett_forest&) = delete;
+  /// Materializes an empty n-vertex forest over substrate `s`.
+  ett_forest(bdc::substrate s, vertex_id n, uint64_t seed);
 
   [[nodiscard]] bdc::substrate substrate_kind() const { return kind_; }
-  [[nodiscard]] bdc::dispatch dispatch_kind() const { return dispatch_; }
 
-  /// The type-erased view, for cold paths and generic tooling.
-  [[nodiscard]] ett_substrate& bridge() { return *owner_; }
-  [[nodiscard]] const ett_substrate& bridge() const { return *owner_; }
-
-  /// One dispatch, then `fn` runs on the concrete substrate reference
-  /// (or on `ett_substrate&` under dispatch::virtual_bridge). Use this
-  /// to hoist the dispatch out of per-element loops.
+  /// One dispatch, then `fn` runs on the concrete substrate reference.
+  /// Use this to hoist the dispatch out of per-element loops.
   template <typename F>
   decltype(auto) visit(F&& fn) {
-    return std::visit([&](auto* f) -> decltype(auto) { return fn(*f); },
-                      view_);
+    return std::visit([&](auto& f) -> decltype(auto) { return fn(*f); },
+                      impl_);
   }
   template <typename F>
   decltype(auto) visit(F&& fn) const {
     return std::visit(
-        [&](auto* f) -> decltype(auto) { return fn(std::as_const(*f)); },
-        view_);
+        [&](auto& f) -> decltype(auto) { return fn(std::as_const(*f)); },
+        impl_);
   }
 
   // ------------------------------------------------------------------
-  // Forwarders: the full ett_substrate surface, one visit per call.
+  // Forwarders: the full substrate contract, one visit per call.
   // ------------------------------------------------------------------
 
   [[nodiscard]] size_t num_vertices() const {
@@ -175,8 +145,9 @@ class ett_forest {
   }
 
   /// Enumerates the component with representative `r` in tour order; see
-  /// ett_substrate::for_each_tour_vertex. Hoist the dispatch yourself
-  /// (visit + the substrate's overload) when enumerating many components.
+  /// euler_tour_substrate::for_each_tour_vertex. Hoist the dispatch
+  /// yourself (visit + the substrate's overload) when enumerating many
+  /// components.
   template <typename F>
   void for_each_tour_vertex(rep r, F&& f) const {
     visit([&](auto& fc) { fc.for_each_tour_vertex(r, f); });
@@ -187,46 +158,60 @@ class ett_forest {
   }
 
   [[nodiscard]] node_pool::stats_snapshot pool_stats() const {
-    return owner_->pool_stats();
+    return visit([](auto& f) { return f.pool_stats(); });
   }
   size_t trim_pool(size_t keep_bytes = 0) {
-    return owner_->trim_pool(keep_bytes);
+    return visit([&](auto& f) { return f.trim_pool(keep_bytes); });
   }
   /// Vertices currently holding a sparse-directory slot in this forest.
   [[nodiscard]] uint64_t active_vertices() const {
-    return owner_->active_vertices();
+    return visit([](auto& f) { return f.active_vertices(); });
   }
   /// Bytes retained by this forest's per-vertex directory.
   [[nodiscard]] size_t directory_bytes() const {
-    return owner_->directory_bytes();
+    return visit([](auto& f) { return f.directory_bytes(); });
   }
 
-  // Read-side snapshot contract (see ett_substrate). connected_relaxed
-  // goes through the pinned dispatch view like every other hot-path
-  // query, so the concurrent probe is devirtualized under
-  // dispatch::static_variant and still works — as a plain virtual call —
-  // under dispatch::virtual_bridge.
-  [[nodiscard]] bool supports_relaxed_reads() const {
-    return owner_->supports_relaxed_reads();
-  }
+  // Read-side snapshot contract (relaxed_read_substrate in
+  // ett_substrate.hpp). Substrates outside it get the defaults here:
+  // no relaxed answers, no epoch binding, nothing to drain.
   [[nodiscard]] std::optional<bool> connected_relaxed(vertex_id u,
                                                       vertex_id v) const {
-    return visit([&](auto& f) { return f.connected_relaxed(u, v); });
+    return visit([&](auto& f) -> std::optional<bool> {
+      if constexpr (relaxed<decltype(f)>)
+        return f.connected_relaxed(u, v);
+      else
+        return std::nullopt;
+    });
   }
-  void bind_read_epochs(epoch_manager* em) { owner_->bind_read_epochs(em); }
-  size_t drain_limbo() { return owner_->drain_limbo(); }
+  void bind_read_epochs(epoch_manager* em) {
+    visit([&](auto& f) {
+      if constexpr (relaxed<decltype(f)>) f.bind_read_epochs(em);
+    });
+  }
+  size_t drain_limbo() {
+    return visit([](auto& f) -> size_t {
+      if constexpr (relaxed<decltype(f)>)
+        return f.drain_limbo();
+      else
+        return 0;
+    });
+  }
 
  private:
-  // Ownership always flows through the base pointer; the variant is a
-  // non-owning concrete-type view of the same object (or the base view
-  // under dispatch::virtual_bridge).
-  using view = std::variant<euler_tour_forest*, treap_ett*, blocked_ett*,
-                            ett_substrate*>;
+  using impl = std::variant<std::unique_ptr<euler_tour_forest>,
+                            std::unique_ptr<treap_ett>,
+                            std::unique_ptr<blocked_ett>>;
+  static impl make(bdc::substrate s, vertex_id n, uint64_t seed);
 
-  std::unique_ptr<ett_substrate> owner_;
-  view view_;
+  /// Whether the substrate a visit arm receives as `S&` meets the
+  /// optional relaxed-read contract.
+  template <typename S>
+  static constexpr bool relaxed =
+      relaxed_read_substrate<std::remove_cvref_t<S>>;
+
+  impl impl_;
   bdc::substrate kind_;
-  bdc::dispatch dispatch_;
 };
 
 }  // namespace bdc

@@ -1,9 +1,5 @@
 #include "ett/ett_substrate.hpp"
 
-#include "ett/blocked_ett.hpp"
-#include "ett/euler_tour_tree.hpp"
-#include "ett/treap_ett.hpp"
-
 namespace bdc {
 
 const char* to_string(substrate s) {
@@ -23,19 +19,6 @@ std::optional<substrate> substrate_from_string(std::string_view name) {
   if (name == "treap") return substrate::treap;
   if (name == "blocked") return substrate::blocked;
   return std::nullopt;
-}
-
-std::unique_ptr<ett_substrate> make_ett(substrate s, vertex_id n,
-                                        uint64_t seed) {
-  switch (s) {
-    case substrate::treap:
-      return std::make_unique<treap_ett>(n, seed);
-    case substrate::blocked:
-      return std::make_unique<blocked_ett>(n, seed);
-    case substrate::skiplist:
-      break;
-  }
-  return std::make_unique<euler_tour_forest>(n, seed);
 }
 
 }  // namespace bdc

@@ -15,12 +15,12 @@
 // (Appendix 9's fetch primitives).
 //
 // Concurrent-read contract: like the treap, the skip list does not
-// support relaxed reads (connected_relaxed returns nullopt) — find_rep
+// support relaxed reads (it is not a relaxed_read_substrate) — find_rep
 // is a multi-level tower walk that can mix stale and fresh next-pointers
 // under a concurrent mutation and land on a representative matching
 // neither batch boundary. The epoch-snapshot serving layer answers
 // concurrent readers from the release-published per-batch connectivity
-// snapshot instead (see ett_substrate's read-side contract).
+// snapshot instead (see the read-side contract in ett_substrate.hpp).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +38,8 @@
 
 namespace bdc {
 
-class euler_tour_forest final : public ett_substrate {
+class euler_tour_forest final
+    : public ett_substrate_base<euler_tour_forest> {
  public:
   using skiplist = augmented_skiplist<ett_counts>;
   using node = skiplist::node;
@@ -47,67 +48,66 @@ class euler_tour_forest final : public ett_substrate {
 
   /// An empty forest (no edges) over n vertices.
   explicit euler_tour_forest(vertex_id n, uint64_t seed = 0xe77e77);
-  ~euler_tour_forest() override = default;  // node storage is pool-owned
 
   euler_tour_forest(const euler_tour_forest&) = delete;
   euler_tour_forest& operator=(const euler_tour_forest&) = delete;
 
-  [[nodiscard]] size_t num_vertices() const override { return n_; }
-  [[nodiscard]] size_t num_edges() const override { return edge_map_.size(); }
+  [[nodiscard]] size_t num_vertices() const { return n_; }
+  [[nodiscard]] size_t num_edges() const { return edge_map_.size(); }
 
   // ------------------------------------------------------------------
   // Updates (each call is one mutation phase)
   // ------------------------------------------------------------------
 
-  void batch_link(std::span<const edge> links) override;
-  void batch_cut(std::span<const edge> cuts) override;
-  void batch_add_counts(std::span<const count_delta> deltas) override;
+  void batch_link(std::span<const edge> links);
+  void batch_cut(std::span<const edge> cuts);
+  void batch_add_counts(std::span<const count_delta> deltas);
 
   // ------------------------------------------------------------------
   // Queries (read-only phases)
   // ------------------------------------------------------------------
 
-  [[nodiscard]] bool has_edge(edge e) const override {
+  [[nodiscard]] bool has_edge(edge e) const {
     return edge_map_.contains(edge_key(e.canonical()));
   }
-  [[nodiscard]] bool connected(vertex_id u, vertex_id v) const override;
+  [[nodiscard]] bool connected(vertex_id u, vertex_id v) const;
   [[nodiscard]] std::vector<bool> batch_connected(
       std::span<const std::pair<vertex_id, vertex_id>> queries)
-      const override;
+      const;
 
-  [[nodiscard]] rep find_rep(vertex_id v) const override;
+  [[nodiscard]] rep find_rep(vertex_id v) const;
   [[nodiscard]] std::vector<rep> batch_find_rep(
-      std::span<const vertex_id> vs) const override;
+      std::span<const vertex_id> vs) const;
 
-  [[nodiscard]] ett_counts component_counts(vertex_id v) const override;
-  [[nodiscard]] ett_counts vertex_counts(vertex_id v) const override;
+  [[nodiscard]] ett_counts component_counts(vertex_id v) const;
+  [[nodiscard]] ett_counts vertex_counts(vertex_id v) const;
 
   [[nodiscard]] std::vector<std::pair<vertex_id, uint32_t>> fetch_nontree(
-      vertex_id v, uint64_t want) const override;
+      vertex_id v, uint64_t want) const;
   [[nodiscard]] std::vector<std::pair<vertex_id, uint32_t>> fetch_tree(
-      vertex_id v, uint64_t want) const override;
+      vertex_id v, uint64_t want) const;
 
   [[nodiscard]] std::vector<vertex_id> component_vertices(
-      vertex_id v) const override;
+      vertex_id v) const;
 
-  using ett_substrate::for_each_tour_vertex;
+  using ett_substrate_base::for_each_tour_vertex;
   void for_each_tour_vertex(rep r, void (*fn)(void* ctx, vertex_id v),
-                            void* ctx) const override;
+                            void* ctx) const;
 
   /// Verifies internal consistency (tests): tour circularity, augmentation
   /// sums, edge-map agreement. Returns empty string if healthy.
-  [[nodiscard]] std::string check_consistency() const override;
+  [[nodiscard]] std::string check_consistency() const;
 
-  [[nodiscard]] node_pool::stats_snapshot pool_stats() const override {
+  [[nodiscard]] node_pool::stats_snapshot pool_stats() const {
     return list_.pool().stats();
   }
-  size_t trim_pool(size_t keep_bytes = 0) override {
+  size_t trim_pool(size_t keep_bytes = 0) {
     return list_.pool().trim(keep_bytes);
   }
-  [[nodiscard]] uint64_t active_vertices() const override {
+  [[nodiscard]] uint64_t active_vertices() const {
     return dir_.active_count();
   }
-  [[nodiscard]] size_t directory_bytes() const override {
+  [[nodiscard]] size_t directory_bytes() const {
     return dir_.resident_bytes();
   }
 
@@ -142,5 +142,7 @@ class euler_tour_forest final : public ett_substrate {
   vertex_directory<node*> dir_;
   phase_concurrent_map<edge_nodes> edge_map_;
 };
+
+static_assert(euler_tour_substrate<euler_tour_forest>);
 
 }  // namespace bdc

@@ -8,7 +8,7 @@
 // vertices and of per-level incident tree/non-tree edge slots (on the
 // sentinel nodes) to support the HDT searches.
 //
-// As an `ett_substrate`, mutation batches (batch_link / batch_cut /
+// As a substrate, mutation batches (batch_link / batch_cut /
 // batch_add_counts) are parallel join-based bulk operations in the style
 // of Blelloch–Ferizovic–Sun joins as used for batch-dynamic trees by Acar
 // et al. (2020): a read-only phase finds each touched tour's root, a
@@ -35,7 +35,7 @@
 // instead of deleting node by node.
 //
 // Concurrent-read contract: the treap does NOT support relaxed reads
-// (connected_relaxed returns nullopt). A find_rep here is a multi-hop
+// (it is not a relaxed_read_substrate). A find_rep here is a multi-hop
 // parent walk, and under a concurrent cut+link batch two walks can
 // resolve through a mix of stale and fresh parent pointers to the same
 // root, yielding an answer that matches neither the pre- nor the
@@ -64,18 +64,17 @@
 
 namespace bdc {
 
-class treap_ett final : public ett_substrate {
+class treap_ett final : public ett_substrate_base<treap_ett> {
  public:
   using counts = ett_counts;
 
   explicit treap_ett(vertex_id n, uint64_t seed = 0x7e47);
-  ~treap_ett() override = default;  // node storage is pool-owned
 
   treap_ett(const treap_ett&) = delete;
   treap_ett& operator=(const treap_ett&) = delete;
 
-  [[nodiscard]] size_t num_vertices() const override { return n_; }
-  [[nodiscard]] size_t num_edges() const override { return arcs_.size(); }
+  [[nodiscard]] size_t num_vertices() const { return n_; }
+  [[nodiscard]] size_t num_edges() const { return arcs_.size(); }
 
   // ------------------------------------------------------------------
   // Sequential per-edge primitives (the HDT baseline drives these)
@@ -85,8 +84,8 @@ class treap_ett final : public ett_substrate {
   void link(vertex_id u, vertex_id v);
   /// Cuts the tree edge (u, v) (must be present).
   void cut(vertex_id u, vertex_id v);
-  using ett_substrate::cut;
-  using ett_substrate::link;
+  using ett_substrate_base::cut;
+  using ett_substrate_base::link;
 
   [[nodiscard]] bool has_edge(vertex_id u, vertex_id v) const {
     return arcs_.contains(edge_key(edge{u, v}.canonical()));
@@ -100,54 +99,54 @@ class treap_ett final : public ett_substrate {
   [[nodiscard]] vertex_id find_nontree_slot(vertex_id v) const;
 
   // ------------------------------------------------------------------
-  // ett_substrate surface
+  // Substrate contract (euler_tour_substrate)
   // ------------------------------------------------------------------
 
-  void batch_link(std::span<const edge> links) override;
-  void batch_cut(std::span<const edge> cuts) override;
-  void batch_add_counts(std::span<const count_delta> deltas) override;
+  void batch_link(std::span<const edge> links);
+  void batch_cut(std::span<const edge> cuts);
+  void batch_add_counts(std::span<const count_delta> deltas);
 
-  [[nodiscard]] bool has_edge(edge e) const override {
+  [[nodiscard]] bool has_edge(edge e) const {
     return has_edge(e.u, e.v);
   }
-  [[nodiscard]] bool connected(vertex_id u, vertex_id v) const override;
+  [[nodiscard]] bool connected(vertex_id u, vertex_id v) const;
   [[nodiscard]] std::vector<bool> batch_connected(
       std::span<const std::pair<vertex_id, vertex_id>> queries)
-      const override;
+      const;
 
-  [[nodiscard]] rep find_rep(vertex_id v) const override;
+  [[nodiscard]] rep find_rep(vertex_id v) const;
   [[nodiscard]] std::vector<rep> batch_find_rep(
-      std::span<const vertex_id> vs) const override;
+      std::span<const vertex_id> vs) const;
 
-  [[nodiscard]] ett_counts component_counts(vertex_id v) const override;
-  [[nodiscard]] ett_counts vertex_counts(vertex_id v) const override;
+  [[nodiscard]] ett_counts component_counts(vertex_id v) const;
+  [[nodiscard]] ett_counts vertex_counts(vertex_id v) const;
 
   [[nodiscard]] std::vector<std::pair<vertex_id, uint32_t>> fetch_nontree(
-      vertex_id v, uint64_t want) const override;
+      vertex_id v, uint64_t want) const;
   [[nodiscard]] std::vector<std::pair<vertex_id, uint32_t>> fetch_tree(
-      vertex_id v, uint64_t want) const override;
+      vertex_id v, uint64_t want) const;
 
   [[nodiscard]] std::vector<vertex_id> component_vertices(
-      vertex_id v) const override;
+      vertex_id v) const;
 
-  using ett_substrate::for_each_tour_vertex;
+  using ett_substrate_base::for_each_tour_vertex;
   void for_each_tour_vertex(rep r, void (*fn)(void* ctx, vertex_id v),
-                            void* ctx) const override;
+                            void* ctx) const;
 
   /// Structural validation (tests): parent/child coherence, heap order,
   /// aggregate sums, tour well-formedness. Empty string if healthy.
-  [[nodiscard]] std::string check_consistency() const override;
+  [[nodiscard]] std::string check_consistency() const;
 
-  [[nodiscard]] node_pool::stats_snapshot pool_stats() const override {
+  [[nodiscard]] node_pool::stats_snapshot pool_stats() const {
     return pool_.stats();
   }
-  size_t trim_pool(size_t keep_bytes = 0) override {
+  size_t trim_pool(size_t keep_bytes = 0) {
     return pool_.trim(keep_bytes);
   }
-  [[nodiscard]] uint64_t active_vertices() const override {
+  [[nodiscard]] uint64_t active_vertices() const {
     return dir_.active_count();
   }
-  [[nodiscard]] size_t directory_bytes() const override {
+  [[nodiscard]] size_t directory_bytes() const {
     return dir_.resident_bytes();
   }
 
@@ -234,5 +233,7 @@ class treap_ett final : public ett_substrate {
   // activation/deactivation never moves a representative.
   vertex_directory<node*> dir_;
 };
+
+static_assert(euler_tour_substrate<treap_ett>);
 
 }  // namespace bdc

@@ -5,6 +5,14 @@
 // (FIFO). Only `job*` values are stored; job lifetime is managed by the
 // fork-join frames in scheduler.hpp (jobs live on the forking thread's stack
 // until joined, so a pointer in the deque is always valid).
+//
+// The orderings live on the atomic operations themselves, not on
+// standalone fences: push publishes with a release store of bottom_, and
+// the two store-load races (pop's bottom_ store against its top_ load,
+// steal's top_ load against its bottom_ load) are seq_cst operations.
+// That is what Lê et al.'s fences provide, and unlike
+// std::atomic_thread_fence it is visible to ThreadSanitizer, so the
+// sanitizer build checks the same orderings production runs.
 #pragma once
 
 #include <atomic>
@@ -12,27 +20,7 @@
 #include <cstdint>
 #include <memory>
 
-#if defined(__SANITIZE_THREAD__)
-#define BDC_TSAN_ENABLED 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define BDC_TSAN_ENABLED 1
-#endif
-#endif
-#ifndef BDC_TSAN_ENABLED
-#define BDC_TSAN_ENABLED 0
-#endif
-
 namespace bdc::internal {
-
-// ThreadSanitizer does not model std::atomic_thread_fence, so the
-// fence-based orderings below (correct per Lê et al.) surface as false
-// races on the job objects the deque hands between threads. Under TSan we
-// promote the fence-dependent relaxed operations to seq_cst so the
-// happens-before edges become visible to the tool; elsewhere the published
-// orderings stand.
-inline constexpr std::memory_order kDequeRelaxed =
-    BDC_TSAN_ENABLED ? std::memory_order_seq_cst : std::memory_order_relaxed;
 
 class job;
 
@@ -54,48 +42,45 @@ class work_stealing_deque {
 
   /// Owner only.
   void push(job* j) {
-    int64_t b = bottom_.load(kDequeRelaxed);
+    int64_t b = bottom_.load(std::memory_order_relaxed);
     [[maybe_unused]] int64_t t = top_.load(std::memory_order_acquire);
     assert(b - t < kCapacity && "work_stealing_deque overflow");
-    buffer_[b & kMask].store(j, kDequeRelaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, kDequeRelaxed);
+    buffer_[b & kMask].store(j, std::memory_order_relaxed);
+    bottom_.store(b + 1, std::memory_order_release);
   }
 
   /// Owner only. Returns nullptr if the deque is empty or the last element
   /// was lost to a concurrent thief.
   job* pop() {
-    int64_t b = bottom_.load(kDequeRelaxed) - 1;
-    bottom_.store(b, kDequeRelaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    int64_t t = top_.load(kDequeRelaxed);
+    int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
+    bottom_.store(b, std::memory_order_seq_cst);
+    int64_t t = top_.load(std::memory_order_seq_cst);
     job* result = nullptr;
     if (t <= b) {
-      result = buffer_[b & kMask].load(kDequeRelaxed);
+      result = buffer_[b & kMask].load(std::memory_order_relaxed);
       if (t == b) {
         // Single element left: race against thieves for it.
         if (!top_.compare_exchange_strong(t, t + 1,
                                           std::memory_order_seq_cst,
-                                          kDequeRelaxed)) {
+                                          std::memory_order_relaxed)) {
           result = nullptr;  // lost the race
         }
-        bottom_.store(b + 1, kDequeRelaxed);
+        bottom_.store(b + 1, std::memory_order_relaxed);
       }
     } else {
-      bottom_.store(b + 1, kDequeRelaxed);
+      bottom_.store(b + 1, std::memory_order_relaxed);
     }
     return result;
   }
 
   /// Any thread. Returns nullptr if empty or the steal raced.
   job* steal() {
-    int64_t t = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    int64_t b = bottom_.load(std::memory_order_acquire);
+    int64_t t = top_.load(std::memory_order_seq_cst);
+    int64_t b = bottom_.load(std::memory_order_seq_cst);
     if (t < b) {
-      job* result = buffer_[t & kMask].load(kDequeRelaxed);
+      job* result = buffer_[t & kMask].load(std::memory_order_relaxed);
       if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                        kDequeRelaxed)) {
+                                        std::memory_order_relaxed)) {
         return nullptr;
       }
       return result;

@@ -113,7 +113,7 @@ TEST_P(BlockedRelaxedReads, SeqlockValidatedProbesMatchSomeBoundary) {
 
   epoch_manager em;
   blocked_ett ett(n, /*seed=*/0xc0ffee);
-  ASSERT_TRUE(ett.supports_relaxed_reads());
+  static_assert(relaxed_read_substrate<blocked_ett>);
   ett.bind_read_epochs(&em);
 
   // The seqlock the serving layer maintains, reproduced here so the raw
@@ -231,7 +231,7 @@ TEST_P(BlockedRelaxedReads, ProbesStayValidAcrossDirectoryGrowth) {
 
   epoch_manager em;
   blocked_ett ett(n, /*seed=*/0xd1e);
-  ASSERT_TRUE(ett.supports_relaxed_reads());
+  static_assert(relaxed_read_substrate<blocked_ett>);
   ett.bind_read_epochs(&em);
 
   std::atomic<uint64_t> version{0};  // odd while a batch is in flight

@@ -2,10 +2,8 @@
 // structured-graph scenarios, with full invariant validation after every
 // mutation. The whole suite is value-parameterized over the shared
 // substrate-config table (tests/test_substrates.hpp): every uniform
-// Euler-tour backend plus the mixed per-level policy, each under both the
-// devirtualized variant fast path and the virtual-bridge dispatch mode.
-// Randomized cross-engine property tests live in
-// connectivity_property_test.cpp.
+// Euler-tour backend plus the mixed per-level policies. Randomized
+// cross-engine property tests live in connectivity_property_test.cpp.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -285,13 +283,11 @@ TEST(ConfigLabel, GenuinelyMixedPolicyKeepsSuffix) {
             substrate::skiplist);
 }
 
-TEST(ConfigLabel, VirtualBridgeSuffixAndThresholdZero) {
+TEST(ConfigLabel, ThresholdZeroIsUniform) {
   options o;
   o.substrate = substrate::treap;
-  o.dispatch = dispatch::virtual_bridge;
-  EXPECT_EQ(config_label(o), "treap!virtual");
   o.policy = level_policy{0, substrate::blocked};  // threshold 0 = uniform
-  EXPECT_EQ(config_label(o), "treap!virtual");
+  EXPECT_EQ(config_label(o), "treap");
 }
 
 class EngineSweep

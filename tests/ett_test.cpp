@@ -1,11 +1,9 @@
 // Euler-tour substrate tests, value-parameterized over every backend
-// (skip list, treap, blocked) crossed with both dispatch modes of the
-// substrate layer (the devirtualized std::variant fast path and the
-// ett_substrate virtual bridge): model-based randomized batches of
-// links/cuts against a union-find oracle, augmentation counters, fetch
-// primitives, and internal consistency after every batch. Every
-// configuration must satisfy the identical forest contract — a dispatch
-// mode is pure routing and must never change a single answer.
+// (skip list, treap, blocked), each driven through ett_forest:
+// model-based randomized batches of links/cuts against a union-find
+// oracle, augmentation counters, fetch primitives, and internal
+// consistency after every batch. Every backend must satisfy the
+// identical forest contract.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -30,7 +28,7 @@ class EttSubstrate : public ::testing::TestWithParam<ett_config> {
  protected:
   [[nodiscard]] ett_forest make(vertex_id n,
                                 uint64_t seed = 0xe77e77) const {
-    return ett_forest(GetParam().sub, n, seed, GetParam().disp);
+    return ett_forest(GetParam().sub, n, seed);
   }
 };
 
@@ -40,22 +38,13 @@ std::string config_name(const ::testing::TestParamInfo<ett_config>& info) {
 
 TEST_P(EttSubstrate, EmptyForestBasics) {
   ett_forest f = make(10);
+  EXPECT_EQ(f.substrate_kind(), GetParam().sub);
   EXPECT_EQ(f.num_vertices(), 10u);
   EXPECT_EQ(f.num_edges(), 0u);
   EXPECT_FALSE(f.connected(0, 1));
   EXPECT_TRUE(f.connected(3, 3));
   EXPECT_EQ(f.component_size(4), 1u);
   EXPECT_TRUE(f.check_consistency().empty());
-}
-
-TEST_P(EttSubstrate, DispatchModePinned) {
-  ett_forest f = make(4);
-  EXPECT_EQ(f.substrate_kind(), GetParam().sub);
-  EXPECT_EQ(f.dispatch_kind(), GetParam().disp);
-  // The bridge always exposes the same underlying forest.
-  f.link({0, 1});
-  EXPECT_TRUE(f.bridge().connected(0, 1));
-  EXPECT_EQ(f.bridge().num_edges(), f.num_edges());
 }
 
 TEST_P(EttSubstrate, SingleLinkCut) {
@@ -181,7 +170,7 @@ TEST_P(EttRandomSweep, BatchesAgainstUnionFindOracle) {
   auto [trial, nn] = trial_n;
   const vertex_id n = static_cast<vertex_id>(nn);
   random_stream rs(trial * 131 + nn);
-  ett_forest f(cfg.sub, n, 1000 + static_cast<uint64_t>(trial), cfg.disp);
+  ett_forest f(cfg.sub, n, 1000 + static_cast<uint64_t>(trial));
   std::set<std::pair<vertex_id, vertex_id>> tree_edges;
   for (int round = 0; round < 25; ++round) {
     // Random batch of links among distinct components.

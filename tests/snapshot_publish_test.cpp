@@ -5,7 +5,7 @@
 //
 //   * Differential: after EVERY committed batch, the published snapshot's
 //     labels must equal a from-scratch components() walk — across all
-//     substrate/dispatch configs and both publish modes. This is the
+//     substrate configs. This is the
 //     direct check that the touched-seed collection (endpoints of every
 //     top-forest link/cut) reaches every component whose membership
 //     changed.
@@ -58,19 +58,16 @@ void expect_snapshot_fresh(batch_dynamic_connectivity& dc,
   }
 }
 
-class SnapshotPublish
-    : public ::testing::TestWithParam<std::tuple<sub_config, publish_mode>> {
-};
+class SnapshotPublish : public ::testing::TestWithParam<sub_config> {};
 
 // The core differential: a randomized insert/delete stream; after every
-// batch the incremental (or full) snapshot must match a from-scratch
-// components() walk, labels and sizes both.
+// batch the published snapshot must match a from-scratch components()
+// walk, labels and sizes both.
 TEST_P(SnapshotPublish, MatchesFromScratchAfterEveryBatch) {
-  const auto& [sc, pub] = GetParam();
+  const sub_config& sc = GetParam();
   const vertex_id n = 600;
   options o = sc.apply({});
   o.concurrent_reads = true;
-  o.publish = pub;
   batch_dynamic_connectivity dc(n, o);
   expect_snapshot_fresh(dc, 0, "construction");
 
@@ -109,15 +106,9 @@ TEST_P(SnapshotPublish, MatchesFromScratchAfterEveryBatch) {
   EXPECT_TRUE(rep.ok) << rep.message;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, SnapshotPublish,
-    ::testing::Combine(::testing::ValuesIn(kSubConfigs),
-                       ::testing::Values(publish_mode::incremental,
-                                         publish_mode::full)),
-    [](const ::testing::TestParamInfo<SnapshotPublish::ParamType>& info) {
-      return std::string(std::get<0>(info.param).name) + "_" +
-             to_string(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Grid, SnapshotPublish,
+                         ::testing::ValuesIn(kSubConfigs),
+                         [](const auto& info) { return info.param.name; });
 
 // Writes that straddle label-table chunk boundaries (4096 entries per
 // chunk): components spanning two chunks must relabel on both sides, and
@@ -270,13 +261,11 @@ TEST(SnapshotPublishEdge, NontreeInsertRelabelsNothing) {
   expect_snapshot_fresh(dc, 3, "non-tree delete");
 }
 
-TEST(SnapshotPublishEdge, ConfigLabelMarksFullPublish) {
+TEST(SnapshotPublishEdge, ConfigLabelMarksServe) {
   options o;
   o.concurrent_reads = true;
   EXPECT_EQ(config_label(o), "skiplist+serve");
-  o.publish = publish_mode::full;
-  EXPECT_EQ(config_label(o), "skiplist+serve!fullpub");
-  o.concurrent_reads = false;  // publish mode is moot without serving
+  o.concurrent_reads = false;
   EXPECT_EQ(config_label(o), "skiplist");
 }
 

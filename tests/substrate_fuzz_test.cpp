@@ -1,7 +1,8 @@
 // Differential fuzz suite for the Euler-tour substrates.
 //
 // Long randomized mixed link/cut/count/query streams are driven directly
-// against the ett_substrate surface and checked two independent ways:
+// against each substrate (through ett_forest) and checked two independent
+// ways:
 //
 //   * OracleLockstep — every round's query batch is verified against a
 //     union-find oracle REBUILT from scratch from the current tree-edge
@@ -41,7 +42,7 @@
 
 #include "core/batch_connectivity.hpp"
 #include "core/engine_router.hpp"
-#include "ett/ett_substrate.hpp"
+#include "ett/ett_forest.hpp"
 #include "spanning/union_find.hpp"
 #include "test_substrates.hpp"
 #include "test_workers.hpp"
@@ -146,34 +147,34 @@ TEST_P(OracleLockstep, MixedStream) {
                  " seed_index=" + std::to_string(s) + " stream_seed=" +
                  std::to_string(seed) +
                  " (widen with BDC_FUZZ_SEEDS / BDC_FUZZ_ROUNDS)");
-    auto f = make_ett(p.sub, n, seed ^ 0x5eed);
+    ett_forest f(p.sub, n, seed ^ 0x5eed);
     stream_state st(n, seed);
     for (int round = 0; round < rounds; ++round) {
       SCOPED_TRACE("round " + std::to_string(round));
       // Mutate: a link batch, then (on alternating rounds, so the forest
       // grows as well as churns) a cut batch.
       auto links = st.next_links(1 + st.rs.next(p.batch));
-      f->batch_link(links);
-      ASSERT_EQ(f->check_consistency(), "") << "after batch_link";
+      f.batch_link(links);
+      ASSERT_EQ(f.check_consistency(), "") << "after batch_link";
       if (round % 2 == 1) {
         auto cuts = st.next_cuts(1 + st.rs.next(p.batch));
-        f->batch_cut(cuts);
-        ASSERT_EQ(f->check_consistency(), "") << "after batch_cut";
+        f.batch_cut(cuts);
+        ASSERT_EQ(f.check_consistency(), "") << "after batch_cut";
       }
-      ASSERT_EQ(f->num_edges(), st.present.size());
+      ASSERT_EQ(f.num_edges(), st.present.size());
 
       // Counter churn: push per-vertex non-tree counts up, verify the
       // component sums and the fetch contract, then restore to zero.
       std::vector<ett_substrate::count_delta> up;
       for (vertex_id v = 0; v < n; v += 1 + n / 64) up.push_back({v, 0, 3});
-      f->batch_add_counts(up);
-      ASSERT_EQ(f->check_consistency(), "") << "after batch_add_counts";
+      f.batch_add_counts(up);
+      ASSERT_EQ(f.check_consistency(), "") << "after batch_add_counts";
 
       // Oracle rebuilt from scratch: query agreement + component sizes.
       union_find oracle(n);
       for (const auto& pe : st.present) oracle.unite(pe.first, pe.second);
       auto qs = st.next_queries(2 * p.batch + 16);
-      auto got = f->batch_connected(qs);
+      auto got = f.batch_connected(qs);
       for (size_t q = 0; q < qs.size(); ++q) {
         ASSERT_EQ(got[q], oracle.connected(qs[q].first, qs[q].second))
             << "query " << qs[q].first << "," << qs[q].second;
@@ -182,11 +183,11 @@ TEST_P(OracleLockstep, MixedStream) {
       for (vertex_id v = 0; v < n; ++v) ++comp_size[oracle.find(v)];
       for (int probe = 0; probe < 8; ++probe) {
         vertex_id v = static_cast<vertex_id>(st.rs.next(n));
-        auto cc = f->component_counts(v);
+        auto cc = f.component_counts(v);
         ASSERT_EQ(cc.vertices, comp_size[oracle.find(v)]) << "vertex " << v;
         // Every sampled vertex in this component contributes 3 non-tree
         // slots; fetch must surface exactly min(want, total).
-        auto fetched = f->fetch_nontree(v, cc.nontree_edges + 10);
+        auto fetched = f.fetch_nontree(v, cc.nontree_edges + 10);
         uint64_t sum = 0;
         for (const auto& [x, take] : fetched) {
           ASSERT_TRUE(oracle.connected(v, x));
@@ -195,7 +196,7 @@ TEST_P(OracleLockstep, MixedStream) {
         ASSERT_EQ(sum, cc.nontree_edges);
       }
       for (auto& d : up) d.nontree_delta = -d.nontree_delta;
-      f->batch_add_counts(up);
+      f.batch_add_counts(up);
     }
   }
 }
@@ -249,38 +250,38 @@ TEST_P(CrossSubstrate, IdenticalStreams) {
     SCOPED_TRACE("repro: cross workers=" + workers_name(workers) +
                  " batch=" + std::to_string(batch) + " seed_index=" +
                  std::to_string(s) + " stream_seed=" + std::to_string(seed));
-    std::vector<std::unique_ptr<ett_substrate>> fs;
+    std::vector<ett_forest> fs;
     for (size_t i = 0; i < std::size(kSubs); ++i)
-      fs.push_back(make_ett(kSubs[i], n, seed ^ (0xa + i)));
+      fs.emplace_back(kSubs[i], n, seed ^ (0xa + i));
     stream_state st(n, seed);
     for (int round = 0; round < rounds; ++round) {
       SCOPED_TRACE("round " + std::to_string(round));
       auto links = st.next_links(1 + st.rs.next(batch));
-      for (auto& f : fs) f->batch_link(links);
+      for (auto& f : fs) f.batch_link(links);
       if (round % 2 == 1) {
         auto cuts = st.next_cuts(1 + st.rs.next(batch));
-        for (auto& f : fs) f->batch_cut(cuts);
+        for (auto& f : fs) f.batch_cut(cuts);
       }
-      for (auto& f : fs) ASSERT_EQ(f->num_edges(), fs[0]->num_edges());
+      for (auto& f : fs) ASSERT_EQ(f.num_edges(), fs[0].num_edges());
       auto qs = st.next_queries(2 * batch + 16);
-      auto got_a = fs[0]->batch_connected(qs);
+      auto got_a = fs[0].batch_connected(qs);
       for (size_t fi = 1; fi < fs.size(); ++fi) {
         SCOPED_TRACE(std::string("vs ") + to_string(kSubs[fi]));
-        auto got_b = fs[fi]->batch_connected(qs);
+        auto got_b = fs[fi].batch_connected(qs);
         for (size_t q = 0; q < qs.size(); ++q) {
           ASSERT_EQ(got_a[q], got_b[q])
               << "query " << qs[q].first << "," << qs[q].second;
         }
         for (int probe = 0; probe < 8; ++probe) {
           vertex_id v = static_cast<vertex_id>(st.rs.next(n));
-          ASSERT_EQ(fs[0]->component_counts(v).vertices,
-                    fs[fi]->component_counts(v).vertices)
+          ASSERT_EQ(fs[0].component_counts(v).vertices,
+                    fs[fi].component_counts(v).vertices)
               << "vertex " << v;
         }
       }
       if (round % 5 == 4) {
         for (size_t fi = 0; fi < fs.size(); ++fi)
-          ASSERT_EQ(fs[fi]->check_consistency(), "")
+          ASSERT_EQ(fs[fi].check_consistency(), "")
               << to_string(kSubs[fi]);
       }
     }
@@ -303,11 +304,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------
 // End-to-end differential: batch_dynamic_connectivity under every
-// uniform substrate plus the mixed per-level policy (each in both
-// dispatch modes), on one identical insert/delete/query stream WITH
-// non-tree edges — so replacement searches, level pushes, and promotions
-// all hit every backend. The oracle is a union-find rebuilt from scratch
-// each round.
+// uniform substrate plus the mixed per-level policies, on one identical
+// insert/delete/query stream WITH non-tree edges — so replacement
+// searches, level pushes, and promotions all hit every backend. The
+// oracle is a union-find rebuilt from scratch each round.
 //
 // The stream is materialized up front (its generation never depends on
 // structure responses), so when a run trips, the failing batch list is

@@ -1,12 +1,9 @@
 // Shared test helper: the substrate configurations the differential
-// suites sweep — every uniform backend plus the mixed per-level policy,
-// each crossed with the two dispatch modes of the substrate layer (the
-// devirtualized std::variant fast path and the ett_substrate virtual
-// bridge; see src/ett/ett_forest.hpp). One table, included by ett_test,
-// connectivity_test, connectivity_property_test, and substrate_fuzz_test,
-// so the parameterized suites and the fuzz differential can never drift
-// onto different grids when a substrate, policy shape, or dispatch mode
-// is added.
+// suites sweep — every uniform backend plus the mixed per-level policies.
+// One table, included by ett_test, connectivity_test,
+// connectivity_property_test, and substrate_fuzz_test, so the
+// parameterized suites and the fuzz differential can never drift onto
+// different grids when a substrate or policy shape is added.
 #pragma once
 
 #include "core/batch_connectivity.hpp"
@@ -15,19 +12,21 @@
 
 namespace bdc::testing {
 
-// A substrate configuration: a uniform backend, or the mixed per-level
-// policy (options::policy) handing the low levels to the blocked
-// representation — plus the dispatch mode every materialized forest uses.
+// A substrate configuration: a uniform backend, or a mixed per-level
+// policy (options::policy) handing the levels below its threshold to a
+// second backend. The mixed rows cover every ordered pair of distinct
+// backends, since one hierarchy may hold any two of the owning
+// variant's alternatives and edges cross between them on every level
+// push; "mixed_all_low" sets the threshold above every level, so even
+// the top forest is the low backend while the primary is not.
 struct sub_config {
   const char* name;
   substrate sub;
   level_policy policy;
-  dispatch disp = dispatch::static_variant;
 
   [[nodiscard]] options apply(options o) const {
     o.substrate = sub;
     o.policy = policy;
-    o.dispatch = disp;
     return o;
   }
 };
@@ -37,31 +36,25 @@ inline constexpr sub_config kSubConfigs[] = {
     {"treap", substrate::treap, {}},
     {"blocked", substrate::blocked, {}},
     {"mixed", substrate::skiplist, {4, substrate::blocked}},
-    {"skiplist_virtual", substrate::skiplist, {}, dispatch::virtual_bridge},
-    {"treap_virtual", substrate::treap, {}, dispatch::virtual_bridge},
-    {"blocked_virtual", substrate::blocked, {}, dispatch::virtual_bridge},
-    {"mixed_virtual",
-     substrate::skiplist,
-     {4, substrate::blocked},
-     dispatch::virtual_bridge},
+    {"skiplist_over_treap", substrate::skiplist, {4, substrate::treap}},
+    {"treap_over_skiplist", substrate::treap, {4, substrate::skiplist}},
+    {"treap_over_blocked", substrate::treap, {4, substrate::blocked}},
+    {"blocked_over_skiplist", substrate::blocked, {4, substrate::skiplist}},
+    {"blocked_over_treap", substrate::blocked, {4, substrate::treap}},
+    {"mixed_all_low", substrate::skiplist, {64, substrate::blocked}},
 };
 
 // The substrate-surface grid for suites that drive an ett_forest
-// directly (no level structure / policy): every backend crossed with
-// both dispatch modes.
+// directly (no level structure / policy): every backend.
 struct ett_config {
   const char* name;
   substrate sub;
-  dispatch disp;
 };
 
 inline constexpr ett_config kEttConfigs[] = {
-    {"skiplist", substrate::skiplist, dispatch::static_variant},
-    {"treap", substrate::treap, dispatch::static_variant},
-    {"blocked", substrate::blocked, dispatch::static_variant},
-    {"skiplist_virtual", substrate::skiplist, dispatch::virtual_bridge},
-    {"treap_virtual", substrate::treap, dispatch::virtual_bridge},
-    {"blocked_virtual", substrate::blocked, dispatch::virtual_bridge},
+    {"skiplist", substrate::skiplist},
+    {"treap", substrate::treap},
+    {"blocked", substrate::blocked},
 };
 
 }  // namespace bdc::testing

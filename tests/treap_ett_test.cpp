@@ -106,21 +106,21 @@ TEST(TreapEtt, ComponentVerticesTourOrder) {
 }
 
 TEST(TreapEtt, BatchSurfaceMatchesSequential) {
-  // Drive the ett_substrate batch API and cross-check the per-edge view.
+  // Drive the batch API of the substrate contract and cross-check the
+  // per-edge view.
   const vertex_id n = 32;
   treap_ett f(n);
-  ett_substrate& s = f;
   auto path = gen_path(n);
-  s.batch_link(path);
-  EXPECT_EQ(s.num_edges(), path.size());
+  f.batch_link(path);
+  EXPECT_EQ(f.num_edges(), path.size());
   EXPECT_TRUE(f.connected(0, n - 1));
 
   std::vector<ett_substrate::count_delta> deltas = {{3, 1, 2}, {9, 0, 1}};
-  s.batch_add_counts(deltas);
-  auto cc = s.component_counts(0);
+  f.batch_add_counts(deltas);
+  auto cc = f.component_counts(0);
   EXPECT_EQ(cc.tree_edges, 1u);
   EXPECT_EQ(cc.nontree_edges, 3u);
-  auto slots = s.fetch_nontree(0, 99);
+  auto slots = f.fetch_nontree(0, 99);
   uint64_t sum = 0;
   for (auto& [v, take] : slots) {
     EXPECT_TRUE(v == 3 || v == 9);
@@ -131,18 +131,18 @@ TEST(TreapEtt, BatchSurfaceMatchesSequential) {
 
   std::vector<std::pair<vertex_id, vertex_id>> qs = {
       {0, n - 1}, {1, 2}, {5, 5}};
-  EXPECT_EQ(s.batch_connected(qs), (std::vector<bool>{true, true, true}));
-  auto reps = s.batch_find_rep(std::vector<vertex_id>{0, n / 2, n - 1});
+  EXPECT_EQ(f.batch_connected(qs), (std::vector<bool>{true, true, true}));
+  auto reps = f.batch_find_rep(std::vector<vertex_id>{0, n / 2, n - 1});
   EXPECT_EQ(reps[0], reps[1]);
   EXPECT_EQ(reps[1], reps[2]);
 
-  s.batch_add_counts(std::vector<ett_substrate::count_delta>{
+  f.batch_add_counts(std::vector<ett_substrate::count_delta>{
       {3, -1, -2}, {9, 0, -1}});
   std::vector<edge> cuts(path.begin(), path.begin() + 8);
-  s.batch_cut(cuts);
+  f.batch_cut(cuts);
   EXPECT_FALSE(f.connected(0, 8));
   EXPECT_TRUE(f.connected(8, n - 1));
-  EXPECT_TRUE(s.check_consistency().empty());
+  EXPECT_TRUE(f.check_consistency().empty());
 }
 
 // ---------------------------------------------------------------------

@@ -9,9 +9,9 @@
 //   stream_runner run [--engine=auto|dynamic|dynamic-simple|dynamic-scanall|
 //                      hdt|static|incremental]
 //                     [--substrate=skiplist|treap|blocked]
-//                     [--policy=<substrate>:<threshold>]
-//                     [--dispatch=static|virtual] [--workers=N]
-//                     [--check] <stream-file>
+//                     [--policy=<substrate>:<threshold>] [--workers=N]
+//                     [--serve-queries=T] [--metrics=FILE] [--trace=FILE]
+//                     [--assert-gauge-max=NAME:MAX] [--check] <stream-file>
 //   stream_runner            (no args: self-demo on a generated stream)
 //
 // --engine picks the structure (default dynamic). `auto` is the
@@ -25,10 +25,8 @@
 // <threshold> to <substrate> (per-level substrate mixing, e.g.
 // --policy=blocked:8 for blocked tours on the bottom eight levels); a
 // policy naming the primary substrate is uniform and is reported as such.
-// --dispatch=virtual forces the ett_substrate virtual bridge instead of
-// the devirtualized variant fast path (an A/B lever; see
-// src/ett/ett_forest.hpp). --workers rebuilds the scheduler pool before
-// the replay (equivalent to BDC_NUM_WORKERS, but scoped to this run).
+// --workers rebuilds the scheduler pool before the replay (equivalent to
+// BDC_NUM_WORKERS, but scoped to this run).
 // --serve-queries=T enables the epoch-snapshot read service and spawns T
 // plain std::threads that hammer snapshot_query() connectivity reads
 // CONCURRENTLY with the update batches; every recorded answer is
@@ -526,8 +524,8 @@ int finish_check(const oracle_checker* chk) {
 }
 
 int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
-                  substrate sub, level_policy policy, dispatch disp,
-                  unsigned serve_threads, publish_mode pub, bool check) {
+                  substrate sub, level_policy policy, unsigned serve_threads,
+                  bool check) {
   oracle_checker chk;
   chk.n = n;
   chk.track_deletes = eng != engine_kind::incremental;
@@ -546,9 +544,7 @@ int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
                    : level_search_kind::scan_all;
     o.substrate = sub;
     o.policy = policy;
-    o.dispatch = disp;
     o.concurrent_reads = serve_threads > 0;
-    o.publish = pub;
     batch_dynamic_connectivity s(n, o);
     // config_label applies the library's policy normalization, so a
     // --policy naming the primary substrate reads as uniform here.
@@ -591,7 +587,6 @@ int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
     router_options ro;
     ro.dynamic_opts.substrate = sub;
     ro.dynamic_opts.policy = policy;
-    ro.dynamic_opts.dispatch = disp;
     engine_router s(n, ro);
     std::string label = "auto/" + config_label(ro.dynamic_opts);
     obs::metric_registry::global().reset();
@@ -639,7 +634,7 @@ int run_structure(engine_kind eng, vertex_id n, const update_stream& stream,
   return finish_check(cp);
 }
 
-int self_demo(unsigned serve_threads, publish_mode pub) {
+int self_demo(unsigned serve_threads) {
   std::printf("stream_runner self-demo: n=4096, m=16384, deletion stream "
               "with batch 512 + queries%s\n",
               serve_threads > 0 ? " (+ concurrent query serving)" : "");
@@ -654,23 +649,20 @@ int self_demo(unsigned serve_threads, publish_mode pub) {
   for (substrate sub :
        {substrate::skiplist, substrate::treap, substrate::blocked}) {
     if (int rc = run_structure(engine_kind::dynamic, n, stream, sub, {},
-                               dispatch::static_variant, serve_threads, pub,
-                               /*check=*/false);
+                               serve_threads, /*check=*/false);
         rc != 0)
       return rc;
   }
   if (int rc = run_structure(engine_kind::dynamic, n, stream,
                              substrate::skiplist,
                              level_policy{8, substrate::blocked},
-                             dispatch::static_variant, serve_threads, pub,
-                             /*check=*/false);
+                             serve_threads, /*check=*/false);
       rc != 0)
     return rc;
   for (engine_kind eng :
        {engine_kind::dynamic_simple, engine_kind::hdt,
         engine_kind::static_recompute, engine_kind::auto_router}) {
-    if (int rc = run_structure(eng, n, stream, substrate::skiplist, {},
-                               dispatch::static_variant, 0, pub,
+    if (int rc = run_structure(eng, n, stream, substrate::skiplist, {}, 0,
                                /*check=*/false);
         rc != 0)
       return rc;
@@ -687,8 +679,7 @@ int usage(const char* prog) {
                "dynamic-scanall|hdt|static|incremental] "
                "[--substrate=skiplist|treap|blocked] "
                "[--policy=<substrate>:<threshold>] "
-               "[--dispatch=static|virtual] [--workers=N] "
-               "[--serve-queries=T] [--publish=incremental|full] "
+               "[--workers=N] [--serve-queries=T] "
                "[--metrics=FILE] [--trace=FILE] "
                "[--assert-gauge-max=NAME:MAX] "
                "[--check] <stream-file>\n"
@@ -723,15 +714,13 @@ int finish_run(int rc) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 1) return self_demo(0, publish_mode::incremental);
+  if (argc == 1) return self_demo(0);
 
   // Flags may appear anywhere; everything else is positional.
   engine_kind eng = engine_kind::dynamic;
   substrate sub = substrate::skiplist;
   level_policy policy;
-  dispatch disp = dispatch::static_variant;
   unsigned serve_threads = 0;
-  publish_mode pub = publish_mode::incremental;
   bool check = false;
   std::string stream_kind = "deletion";
   std::vector<std::string> args;
@@ -772,15 +761,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       policy = level_policy{threshold, *parsed};
-    } else if (a.rfind("--dispatch=", 0) == 0) {
-      auto parsed = dispatch_from_string(a.substr(11));
-      if (!parsed) {
-        std::fprintf(stderr,
-                     "bad --dispatch value '%s' (want static|virtual)\n",
-                     a.c_str() + 11);
-        return 2;
-      }
-      disp = *parsed;
     } else if (a.rfind("--workers=", 0) == 0) {
       const char* value = a.c_str() + 10;
       char* end = nullptr;
@@ -805,18 +785,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       serve_threads = static_cast<unsigned>(t);
-    } else if (a.rfind("--publish=", 0) == 0) {
-      std::string value = a.substr(10);
-      if (value == "incremental") {
-        pub = publish_mode::incremental;
-      } else if (value == "full") {
-        pub = publish_mode::full;
-      } else {
-        std::fprintf(stderr,
-                     "bad --publish value '%s' (want incremental|full)\n",
-                     value.c_str());
-        return 2;
-      }
     } else if (a.rfind("--stream=", 0) == 0) {
       stream_kind = a.substr(9);
       if (stream_kind != "deletion" && stream_kind != "mixed" &&
@@ -879,7 +847,7 @@ int main(int argc, char** argv) {
   }
   if (!g_trace_path.empty()) obs::trace_recorder::global().enable();
 
-  if (args.empty()) return finish_run(self_demo(serve_threads, pub));
+  if (args.empty()) return finish_run(self_demo(serve_threads));
 
   const std::string& cmd = args[0];
   if (cmd == "gen" && args.size() == 7) {
@@ -930,8 +898,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot read stream file '%s'\n", args[1].c_str());
       return 2;
     }
-    return finish_run(run_structure(eng, n, stream, sub, policy, disp,
-                                    serve_threads, pub, check));
+    return finish_run(
+        run_structure(eng, n, stream, sub, policy, serve_threads, check));
   }
   return usage(argv[0]);
 }
